@@ -596,6 +596,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         restart_backoff=config.restart_backoff_seconds,
         restart_backoff_max=config.restart_backoff_max_seconds,
         restart_stagger=config.restart_stagger_seconds,
+        startup_deadline=args.startup_timeout,
     )
     print(f"Starting {config.num_workers} worker(s) ...")
     _install_sigterm_handler()

@@ -11,7 +11,11 @@ listen on, and the argv to spawn it — and managed through its lifecycle:
 * **monitor**: a background thread probes each worker every
   ``health_interval``; a worker whose process exited, or that failed
   ``unhealthy_threshold`` consecutive probes, is declared down, terminated
-  if still running, and scheduled for restart;
+  if still running, and scheduled for restart.  A worker that has not yet
+  answered a probe since it was spawned is STARTING: its failed probes do
+  not count toward ``unhealthy_threshold`` (a cold start of the serving
+  CLI takes longer than a few probe intervals); it is recycled only when
+  it exits or misses its ``startup_deadline``;
 * **restart**: respawns are delayed by exponential backoff (bounded by
   ``restart_backoff_max``) plus a per-worker stagger so a crash loop cannot
   hot-spin and simultaneous crashes don't restart in lockstep;
@@ -30,7 +34,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServiceError
@@ -92,6 +96,8 @@ class _Managed:
     consecutive_failures: int = 0
     #: monotonic time before which the worker must not be respawned.
     next_restart_at: float = 0.0
+    #: monotonic time of the last spawn (the startup deadline counts from it).
+    spawned_at: float = 0.0
     exit_codes: list[int] = field(default_factory=list)
 
 
@@ -109,7 +115,12 @@ class WorkerPool:
         restart_stagger: float = 0.25,
         spawn_stagger: float = 0.0,
         stdout: "IO | int | None" = subprocess.DEVNULL,
+        startup_deadline: float = 120.0,
+        clock: Callable[[], float] = time.monotonic,
     ):
+        """``startup_deadline``: seconds a spawned worker may take to answer
+        its first health probe before the monitor recycles it.  ``clock``
+        is the monotonic time source (injectable for tests)."""
         if not specs:
             raise ServiceError("a worker pool needs at least one WorkerSpec")
         ids = [spec.worker_id for spec in specs]
@@ -122,6 +133,8 @@ class WorkerPool:
         self.restart_backoff_max = restart_backoff_max
         self.restart_stagger = restart_stagger
         self.spawn_stagger = spawn_stagger
+        self.startup_deadline = startup_deadline
+        self._clock = clock
         self._stdout = stdout
         self._lock = threading.Lock()
         self._workers = [
@@ -248,6 +261,7 @@ class WorkerPool:
         with self._lock:
             worker.state = STARTING
             worker.consecutive_failures = 0
+            worker.spawned_at = self._clock()
 
     def _monitor_loop(self) -> None:
         while not self._stop_event.wait(self.health_interval):
@@ -260,7 +274,7 @@ class WorkerPool:
                     continue
 
     def _check(self, worker: _Managed) -> None:
-        now = time.monotonic()
+        now = self._clock()
         process = worker.process
         if worker.state == DOWN:
             if now >= worker.next_restart_at:
@@ -279,17 +293,24 @@ class WorkerPool:
                 worker.consecutive_failures = 0
             return
         with self._lock:
-            worker.consecutive_failures += 1
-            failing = worker.consecutive_failures >= self.unhealthy_threshold
+            if worker.state == STARTING:
+                failing = now - worker.spawned_at >= self.startup_deadline
+            else:
+                worker.consecutive_failures += 1
+                failing = worker.consecutive_failures >= self.unhealthy_threshold
         if failing:
-            # Alive but unresponsive: recycle the process like a crash.
+            # Alive but unresponsive (or never came up): recycle the process
+            # like a crash, keeping its exit code.
             if process.poll() is None:
                 process.terminate()
                 try:
                     process.wait(timeout=self.health_timeout)
                 except subprocess.TimeoutExpired:
                     process.kill()
-            self._mark_down(worker, time.monotonic())
+                    process.wait(timeout=5.0)
+            with self._lock:
+                worker.exit_codes.append(process.returncode)
+            self._mark_down(worker, self._clock())
 
     def _mark_down(self, worker: _Managed, now: float) -> None:
         with self._lock:

@@ -16,7 +16,9 @@ and leaves only a weak prior derived from entity surface forms.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,6 +54,8 @@ class NGramLanguageModel:
         self._counts: list[dict[tuple, Counter]] = [
             defaultdict(Counter) for _ in range(order)
         ]
+        #: totals[n][context_tuple] == sum(counts[n][context_tuple].values()).
+        self._totals: list[dict[tuple, int]] = [defaultdict(int) for _ in range(order)]
         self._vocab: set[str] = set()
         self._total_tokens = 0
 
@@ -66,36 +70,54 @@ class NGramLanguageModel:
                 for n in range(self.order):
                     context = tuple(tokens[i - n : i])
                     self._counts[n][context][token] += 1
+                    self._totals[n][context] += 1
         return self
 
     @property
     def vocabulary(self) -> set[str]:
         return set(self._vocab)
 
-    def _order_prob(self, n: int, context: tuple, token: str) -> float:
-        counter = self._counts[n].get(context)
-        vocab_size = max(len(self._vocab), 1)
-        if counter is None:
-            return 1.0 / vocab_size
-        total = sum(counter.values())
-        return (counter.get(token, 0) + self.smoothing) / (
-            total + self.smoothing * vocab_size
-        )
-
-    def probability(self, context: Sequence[str], token: str) -> float:
-        """Interpolated probability of ``token`` given ``context``."""
+    def _context_tables(self, context: Sequence[str]) -> list[tuple[Counter | None, int]]:
+        """``(counts, total)`` of every order's context of ``context`` (None
+        for a context never seen); shared by every token scored after it."""
         context = list(context)
+        tables = []
+        for n in range(self.order):
+            ctx = tuple(context[len(context) - n :]) if n > 0 else ()
+            counter = self._counts[n].get(ctx)
+            tables.append((counter, self._totals[n][ctx] if counter is not None else 0))
+        return tables
+
+    def _probability(self, tables, token: str) -> float:
+        """Interpolated probability of ``token`` after the context of ``tables``."""
+        vocab_size = max(len(self._vocab), 1)
         probability = 0.0
         weight_total = 0.0
-        for n in range(self.order):
+        for n, (counter, total) in enumerate(tables):
             weight = float(n + 1)  # higher orders weigh more
-            ctx = tuple(context[len(context) - n :]) if n > 0 else ()
-            probability += weight * self._order_prob(n, ctx, token)
+            if counter is None:
+                order_prob = 1.0 / vocab_size
+            else:
+                order_prob = (counter.get(token, 0) + self.smoothing) / (
+                    total + self.smoothing * vocab_size
+                )
+            probability += weight * order_prob
             weight_total += weight
         return probability / weight_total
 
+    def probability(self, context: Sequence[str], token: str) -> float:
+        """Interpolated probability of ``token`` given ``context``."""
+        return self._probability(self._context_tables(context), token)
+
     def logprob(self, context: Sequence[str], token: str) -> float:
         return float(np.log(max(self.probability(context, token), 1e-12)))
+
+    def next_logprobs(self, context: Sequence[str], tokens: Sequence[str]) -> np.ndarray:
+        """:meth:`logprob` of every token in ``tokens`` after ``context``,
+        looking the context up once for all of them."""
+        tables = self._context_tables(context)
+        probabilities = np.array([self._probability(tables, token) for token in tokens])
+        return np.log(np.maximum(probabilities, 1e-12))
 
     def sequence_logprob(self, tokens: Sequence[str], context: Sequence[str] = ()) -> float:
         """Sum of token log-probabilities of ``tokens`` continuing ``context``."""
@@ -141,9 +163,9 @@ class NGramLanguageModel:
         for n, table in enumerate(counts):
             for joined, counter in table.items():
                 context = tuple(joined.split(_CTX_SEPARATOR)) if joined else ()
-                model._counts[n][context] = Counter(
-                    {token: int(count) for token, count in counter.items()}
-                )
+                counts = Counter({token: int(count) for token, count in counter.items()})
+                model._counts[n][context] = counts
+                model._totals[n][context] = sum(counts.values())
         return model
 
     def next_token_candidates(self, context: Sequence[str], top_k: int = 50) -> list[tuple[str, float]]:
@@ -164,6 +186,78 @@ class NGramLanguageModel:
         return scored[:top_k]
 
 
+@dataclass
+class _EntityRows:
+    """The bound entities indexed by row, for the batched prompt affinity.
+
+    Built once per fit/restore; ``vectors`` is the embeddings' own stacked
+    matrix (the memory map after a restore), never a copy.
+    """
+
+    #: entity id of every row, in binding order.
+    ids: list[int] = field(default_factory=list)
+    #: surface form -> row (a later entity wins a shared name).
+    by_name: dict[str, int] = field(default_factory=dict)
+    #: the stacked entity embeddings, or None without embeddings.
+    vectors: np.ndarray | None = None
+    #: row of ``vectors`` holding each row's embedding (0 where it has none).
+    vector_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    #: rows without an embedding, scored by the Jaccard fallback.
+    unembedded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    #: number of distinct name tokens of each row.
+    token_counts: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: name token -> the rows whose name contains it.
+    rows_with_token: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def build(
+        cls,
+        name_tokens: dict[int, frozenset[str]],
+        entities_by_id: dict[int, Entity],
+        embeddings: CooccurrenceEmbeddings | None,
+    ) -> "_EntityRows":
+        ids = list(entities_by_id)
+        by_name = {entity.name: row for row, entity in enumerate(entities_by_id.values())}
+        token_rows: dict[str, list[int]] = defaultdict(list)
+        for row, entity_id in enumerate(ids):
+            for token in name_tokens[entity_id]:
+                token_rows[token].append(row)
+        rows = cls(
+            ids=ids,
+            by_name=by_name,
+            token_counts=np.array([len(name_tokens[i]) for i in ids], dtype=np.float64),
+            rows_with_token={
+                token: np.array(hits, dtype=np.intp) for token, hits in token_rows.items()
+            },
+        )
+        if embeddings is None:
+            rows.unembedded = np.arange(len(ids), dtype=np.intp)
+            return rows
+        vector_ids, rows.vectors = embeddings.entity_matrix()
+        vector_row = {int(entity_id): row for row, entity_id in enumerate(vector_ids)}
+        rows.vector_rows = np.array([vector_row.get(i, 0) for i in ids], dtype=np.intp)
+        rows.unembedded = np.array(
+            [row for row, i in enumerate(ids) if i not in vector_row], dtype=np.intp
+        )
+        return rows
+
+    def jaccard(self, tokens: frozenset[str] | None) -> np.ndarray:
+        """Name-token Jaccard overlap of every row with ``tokens`` (0 when
+        either side has no tokens), exactly as the scalar fallback."""
+        overlap = np.zeros(len(self.ids))
+        if not tokens:
+            return overlap
+        shared = np.zeros(len(self.ids))
+        for token in tokens:
+            hits = self.rows_with_token.get(token)
+            if hits is not None:
+                shared[hits] += 1.0
+        named = self.token_counts > 0
+        union = self.token_counts + len(tokens) - shared
+        overlap[named] = shared[named] / union[named]
+        return overlap
+
+
 class CausalEntityLM:
     """Entity-aware causal LM used by GenExpan."""
 
@@ -178,6 +272,9 @@ class CausalEntityLM:
         self._embeddings: CooccurrenceEmbeddings | None = None
         self._entities_by_id: dict[int, Entity] = {}
         self._name_tokens: dict[int, frozenset[str]] = {}
+        self._rows = _EntityRows()
+        #: (prefix tree, its row -> our row map), see :meth:`_tree_rows`.
+        self._tree_rows_cache: tuple[weakref.ref, np.ndarray] | None = None
         self._fitted = False
 
     # -- fitting --------------------------------------------------------------
@@ -193,11 +290,6 @@ class CausalEntityLM:
         :class:`repro.obs.progress.ProgressReporter`, optional) receives
         step fractions as the pre-training stages complete.
         """
-        self._entities_by_id = {entity.entity_id: entity for entity in entities}
-        self._name_tokens = {
-            entity.entity_id: frozenset(self._tokenizer.tokenize_entity_name(entity.name))
-            for entity in entities
-        }
         name_sequences = [
             self._tokenizer.tokenize_entity_name(entity.name) for entity in entities
         ]
@@ -221,10 +313,22 @@ class CausalEntityLM:
         else:
             self._ngram.fit(name_sequences)
             self._embeddings = None
+        self._bind_entities(entities)
         if progress is not None:
             progress.step(1.0)
         self._fitted = True
         return self
+
+    def _bind_entities(self, entities: list[Entity]) -> None:
+        """Index ``entities`` (after the embeddings are in place) for the
+        per-entity lookups and the batched prompt-affinity rows."""
+        self._entities_by_id = {entity.entity_id: entity for entity in entities}
+        self._name_tokens = {
+            entity.entity_id: frozenset(self._tokenizer.tokenize_entity_name(entity.name))
+            for entity in entities
+        }
+        self._rows = _EntityRows.build(self._name_tokens, self._entities_by_id, self._embeddings)
+        self._tree_rows_cache = None
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -276,11 +380,7 @@ class CausalEntityLM:
         lm._ngram = NGramLanguageModel.from_state(read_json_state(directory / "ngram.json"))
         if meta.get("has_embeddings"):
             lm._embeddings = CooccurrenceEmbeddings.load(directory / "embeddings", mmap=mmap)
-        lm._entities_by_id = {entity.entity_id: entity for entity in entities}
-        lm._name_tokens = {
-            entity.entity_id: frozenset(lm._tokenizer.tokenize_entity_name(entity.name))
-            for entity in entities
-        }
+        lm._bind_entities(entities)
         lm._fitted = True
         return lm
 
@@ -308,6 +408,63 @@ class CausalEntityLM:
         return float(
             np.mean([self.entity_affinity(entity_id, pid) for pid in prompt_entity_ids])
         )
+
+    def prompt_affinities(self, prompt_entity_ids: Sequence[int]) -> np.ndarray:
+        """:meth:`prompt_affinity` of every bound entity at once, indexed by
+        row (``_rows.ids``), plus a trailing 0.0 for the padding row.
+
+        The cosines to all prompt entities that have embeddings come from
+        one ``(N x d) @ (d x |prompt|)`` product over the stacked entity
+        vectors; the Jaccard fallback (no embeddings, or an entity without
+        one) is counted from a token -> rows index.  The per-entity mean
+        sums the prompt columns left to right like ``np.mean`` does, so the
+        only difference to the scalar path is the BLAS kernel behind the
+        dot products (last-ulp at most).
+        """
+        self._require_fitted()
+        rows = self._rows
+        out = np.zeros(len(rows.ids) + 1)
+        if not prompt_entity_ids:
+            return out
+        embedded = []
+        if rows.vectors is not None:
+            embedded = [
+                pid for pid in dict.fromkeys(prompt_entity_ids)
+                if self._embeddings.has_entity(pid)
+            ]
+        cosines = {}
+        if embedded:
+            prompt_matrix = np.stack([self._embeddings.entity_vector(pid) for pid in embedded])
+            product = rows.vectors @ prompt_matrix.T
+            cosines = {pid: product[:, column] for column, pid in enumerate(embedded)}
+        total = None
+        for pid in prompt_entity_ids:
+            if pid in cosines:
+                column = 0.5 * (1.0 + cosines[pid][rows.vector_rows])
+                if rows.unembedded.size:
+                    column[rows.unembedded] = rows.jaccard(self._name_tokens.get(pid))[
+                        rows.unembedded
+                    ]
+            else:
+                column = rows.jaccard(self._name_tokens.get(pid))
+            total = column if total is None else total + column
+        out[:-1] = total / len(prompt_entity_ids)
+        return out
+
+    def _tree_rows(self, prefix_tree: PrefixTree) -> np.ndarray:
+        """Our row of every name row of ``prefix_tree`` (the padding row for
+        names we do not know, and for the tree's ``PAD_ROW`` at index -1)."""
+        cached = self._tree_rows_cache
+        if cached is not None and cached[0]() is prefix_tree:
+            if len(cached[1]) == len(prefix_tree.names) + 1:
+                return cached[1]
+        padding = len(self._rows.ids)
+        mapping = np.array(
+            [self._rows.by_name.get(name, padding) for name in prefix_tree.names] + [padding],
+            dtype=np.intp,
+        )
+        self._tree_rows_cache = (weakref.ref(prefix_tree), mapping)
+        return mapping
 
     # -- scoring ---------------------------------------------------------------------
     def _prompt_tokens(self, prompt_entity_ids: Sequence[int]) -> list[str]:
@@ -433,52 +590,62 @@ class CausalEntityLM:
         Returns up to ``beam_width`` (entity name, score) pairs.  Every
         returned name is guaranteed to be a candidate entity because decoding
         follows root-to-leaf paths of the prefix tree.
+
+        A token's score blends its n-gram log-probability with the log of
+        the best prompt affinity among the first ``FIRST_REACHABLE``
+        (alphabetical) names reachable through it.  Nothing of that is
+        recomputed per token: the prompt affinity of every entity comes
+        from one :meth:`prompt_affinities` call per search, each trie node
+        caches its sorted children and first reachable name rows, the
+        name -> row maps are built at bind time, and each beam step scores
+        the children of all live beams with one gather-and-max over the
+        padded row matrix and one n-gram context lookup per beam.
         """
         self._require_fitted()
         exclude_names = exclude_names or set()
         context = self._prompt_tokens(prompt_entity_ids)
-        name_to_id = {
-            entity.name: entity_id for entity_id, entity in self._entities_by_id.items()
-        }
-
-        def token_score(prefix: list[str], token: str) -> float:
-            lm = self._ngram.logprob(context + prefix, token)
-            reachable = prefix_tree.entities_with_prefix(prefix + [token])
-            affinities = [
-                self.prompt_affinity(name_to_id[name], prompt_entity_ids)
-                for name in reachable[:20]
-                if name in name_to_id
-            ]
-            best_affinity = max(affinities) if affinities else 0.0
-            w = self.config.affinity_weight
-            return w * float(np.log(max(best_affinity, 1e-6))) + (1.0 - w) * lm
-
-        beams: list[tuple[list[str], float]] = [([], 0.0)]
+        affinities = self.prompt_affinities(prompt_entity_ids)
+        tree_rows = self._tree_rows(prefix_tree)
+        w = self.config.affinity_weight
         completed: dict[str, float] = {}
-        for _ in range(max_length):
-            expansions: list[tuple[list[str], float]] = []
-            for prefix, score in beams:
-                allowed = prefix_tree.allowed_next(prefix)
-                entity_name = prefix_tree.entity_at(prefix)
-                if entity_name is not None and entity_name not in exclude_names:
-                    normalised = score / max(len(prefix), 1)
-                    if normalised > completed.get(entity_name, -np.inf):
-                        completed[entity_name] = normalised
-                for token in allowed:
-                    expansions.append(
-                        (prefix + [token], score + token_score(prefix, token))
-                    )
-            if not expansions:
-                break
-            expansions.sort(key=lambda item: -item[1] / max(len(item[0]), 1))
-            beams = expansions[: beam_width * 2]
-        # Flush any completed entities still sitting on the beam.
-        for prefix, score in beams:
-            entity_name = prefix_tree.entity_at(prefix)
+
+        def complete(prefix: tuple, score: float, node) -> None:
+            entity_name = node.terminal
             if entity_name is not None and entity_name not in exclude_names:
                 normalised = score / max(len(prefix), 1)
                 if normalised > completed.get(entity_name, -np.inf):
                     completed[entity_name] = normalised
+
+        beams = [((), 0.0, prefix_tree.root)]
+        for _ in range(max_length):
+            children = []
+            lm_scores = []
+            for prefix, score, node in beams:
+                complete(prefix, score, node)
+                allowed = node.sorted_children()
+                if allowed:
+                    children.extend((prefix, score, token, child) for token, child in allowed)
+                    lm_scores.append(
+                        self._ngram.next_logprobs(
+                            context + list(prefix), [token for token, _ in allowed]
+                        )
+                    )
+            if not children:
+                break
+            first_rows = np.stack([child.first_rows() for *_, child in children])
+            best = affinities[tree_rows[first_rows]].max(axis=1)
+            token_scores = w * np.log(np.maximum(best, 1e-6)) + (1.0 - w) * np.concatenate(
+                lm_scores
+            )
+            expansions = [
+                (prefix + (token,), score + float(token_score), child)
+                for (prefix, score, token, child), token_score in zip(children, token_scores)
+            ]
+            expansions.sort(key=lambda item: -item[1] / max(len(item[0]), 1))
+            beams = expansions[: beam_width * 2]
+        # Flush any completed entities still sitting on the beam.
+        for prefix, score, node in beams:
+            complete(prefix, score, node)
         ranked = sorted(completed.items(), key=lambda item: (-item[1], item[0]))
         return ranked[:beam_width]
 

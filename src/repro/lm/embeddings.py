@@ -92,6 +92,9 @@ class CooccurrenceEmbeddings:
         self.vocabulary: Vocabulary | None = None
         self.token_vectors: np.ndarray | None = None
         self._entity_vectors: dict[int, np.ndarray] = {}
+        #: the stacked entity vectors ``_entity_vectors`` holds row views of
+        #: (ids, matrix); None until fitted/loaded or for a ragged map.
+        self._entity_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- fitting ----------------------------------------------------------------
     def fit(
@@ -157,9 +160,7 @@ class CooccurrenceEmbeddings:
                 entity_matrix, self.entity_dim, self.seed + 1
             )
             entity_vectors = l2_normalize(entity_vectors, axis=1)
-            self._entity_vectors = {
-                entity_id: entity_vectors[i] for i, entity_id in enumerate(entity_ids)
-            }
+            self._set_entity_rows(np.asarray(entity_ids, dtype=np.int64), entity_vectors)
         if progress is not None:
             progress.step(1.0)
         return self
@@ -182,6 +183,26 @@ class CooccurrenceEmbeddings:
 
     def entity_vectors(self) -> dict[int, np.ndarray]:
         return dict(self._entity_vectors)
+
+    def entity_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, matrix)``: every entity vector stacked, row ``i`` being
+        ``entity_vector(ids[i])``.  The matrix is the array the per-entity
+        vectors are views of (the memory map after :meth:`load`), so no
+        copy is made; callers must not mutate it."""
+        if self._entity_rows is None:
+            ids = np.asarray(list(self._entity_vectors), dtype=np.int64)
+            if len(ids):
+                matrix = np.stack([self._entity_vectors[int(i)] for i in ids])
+            else:
+                matrix = np.zeros((0, self.entity_dim))
+            self._entity_rows = (ids, matrix)
+        return self._entity_rows
+
+    def _set_entity_rows(self, ids: np.ndarray, matrix: np.ndarray) -> None:
+        self._entity_rows = (ids, matrix)
+        self._entity_vectors = {
+            int(entity_id): matrix[row] for row, entity_id in enumerate(ids)
+        }
 
     def entity_similarity(self, entity_a: int, entity_b: int) -> float:
         """Cosine similarity between two entity embeddings (0 when unknown)."""
@@ -222,7 +243,12 @@ class CooccurrenceEmbeddings:
     @classmethod
     def load(cls, directory: str | Path, mmap: bool = True) -> "CooccurrenceEmbeddings":
         """Reconstruct embeddings written by :meth:`save` without refitting."""
-        from repro.store.serialization import load_array, load_vector_map, read_json_state
+        from repro.store.serialization import (
+            load_array,
+            load_vector_map,
+            load_vector_rows,
+            read_json_state,
+        )
 
         directory = Path(directory)
         meta = read_json_state(directory / "embeddings.json")
@@ -238,5 +264,9 @@ class CooccurrenceEmbeddings:
             token for token in meta["vocabulary"] if token not in SPECIAL_TOKENS
         )
         instance.token_vectors = load_array(directory / "token_vectors.npy", mmap=mmap)
-        instance._entity_vectors = load_vector_map(directory, "entity", mmap=mmap)
+        rows = load_vector_rows(directory, "entity", mmap=mmap)
+        if rows is not None:
+            instance._set_entity_rows(*rows)
+        else:
+            instance._entity_vectors = load_vector_map(directory, "entity", mmap=mmap)
         return instance

@@ -108,6 +108,25 @@ def save_vector_map(
         np.savez(directory / f"{name}.ragged.npz", **arrays)
 
 
+def load_vector_rows(
+    directory: str | Path, name: str, mmap: bool = True
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(ids, matrix)`` of a uniform map written by
+    :func:`save_vector_map` (row ``i`` is the vector of ``ids[i]``), or None
+    when the map was saved ragged."""
+    directory = Path(directory)
+    ids_path = directory / f"{name}.ids.npy"
+    if not ids_path.exists():
+        return None
+    ids = load_array(ids_path)
+    matrix = load_array(directory / f"{name}.vectors.npy", mmap=mmap)
+    if matrix.shape[0] != ids.shape[0]:
+        raise ArtifactCorruptError(
+            f"vector map {name!r}: {ids.shape[0]} ids but {matrix.shape[0]} rows"
+        )
+    return ids, matrix
+
+
 def load_vector_map(
     directory: str | Path, name: str, mmap: bool = True
 ) -> dict[int, np.ndarray]:
@@ -117,16 +136,11 @@ def load_vector_map(
     into one read-only memory map; callers that mutate vectors must copy.
     """
     directory = Path(directory)
-    ids_path = directory / f"{name}.ids.npy"
-    ragged_path = directory / f"{name}.ragged.npz"
-    if ids_path.exists():
-        ids = load_array(ids_path)
-        matrix = load_array(directory / f"{name}.vectors.npy", mmap=mmap)
-        if matrix.shape[0] != ids.shape[0]:
-            raise ArtifactCorruptError(
-                f"vector map {name!r}: {ids.shape[0]} ids but {matrix.shape[0]} rows"
-            )
+    rows = load_vector_rows(directory, name, mmap=mmap)
+    if rows is not None:
+        ids, matrix = rows
         return {int(entity_id): matrix[row] for row, entity_id in enumerate(ids)}
+    ragged_path = directory / f"{name}.ragged.npz"
     if ragged_path.exists():
         try:
             with np.load(ragged_path, allow_pickle=False) as archive:

@@ -15,7 +15,17 @@ from repro.text.inverted_index import InvertedIndex
 
 
 class BM25Index:
-    """Okapi BM25 with the standard k1/b parameterisation."""
+    """Okapi BM25 with the standard k1/b parameterisation.
+
+    Corpus statistics are not recomputed per query token: the index keeps a
+    running total of document lengths (so the average length is one
+    division), ``idf`` is cached per token until the next
+    :meth:`add_document`/:meth:`remove_document`, and :meth:`score` /
+    :meth:`search` read posting lists in place instead of copying them.
+    Every score is computed with the same floating-point operations, in the
+    same order, as the textbook formula, so cached and uncached scores are
+    bitwise equal.
+    """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75):
         if k1 < 0:
@@ -25,9 +35,15 @@ class BM25Index:
         self.k1 = k1
         self.b = b
         self._index = InvertedIndex()
+        self._idf_cache: dict[str, float] = {}
 
     def add_document(self, doc_id: int, tokens: Sequence[str]) -> None:
         self._index.add_document(doc_id, tokens)
+        self._idf_cache.clear()
+
+    def remove_document(self, doc_id: int) -> None:
+        self._index.remove_document(doc_id)
+        self._idf_cache.clear()
 
     @property
     def num_documents(self) -> int:
@@ -35,22 +51,28 @@ class BM25Index:
 
     def idf(self, token: str) -> float:
         """BM25 idf with the +1 floor that keeps scores non-negative."""
-        n = self._index.num_documents
-        df = self._index.document_frequency(token)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        idf = self._idf_cache.get(token)
+        if idf is None:
+            n = self._index.num_documents
+            df = self._index.document_frequency(token)
+            idf = self._idf_cache[token] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return idf
 
     def score(self, query_tokens: Sequence[str], doc_id: int) -> float:
         """BM25 score of ``doc_id`` for the query."""
         avg_len = self._index.average_document_length or 1.0
         doc_len = self._index.document_length(doc_id)
+        length_norm = self.k1 * (1.0 - self.b + self.b * doc_len / avg_len)
+        idf_cache = self._idf_cache
         total = 0.0
         for token in query_tokens:
-            tf = self._index.postings(token).get(doc_id, 0)
+            tf = self._index.term_frequency(token, doc_id)
             if tf == 0:
                 continue
-            idf = self.idf(token)
-            denom = tf + self.k1 * (1.0 - self.b + self.b * doc_len / avg_len)
-            total += idf * tf * (self.k1 + 1.0) / denom
+            idf = idf_cache.get(token)
+            if idf is None:
+                idf = self.idf(token)
+            total += idf * tf * (self.k1 + 1.0) / (tf + length_norm)
         return total
 
     def search(self, query_tokens: Sequence[str], top_k: int = 10) -> list[tuple[int, float]]:
@@ -60,7 +82,7 @@ class BM25Index:
         """
         candidates: set[int] = set()
         for token in query_tokens:
-            candidates |= self._index.documents_containing(token)
+            candidates.update(self._index.postings_view(token))
         scored = [(doc_id, self.score(query_tokens, doc_id)) for doc_id in candidates]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:top_k]

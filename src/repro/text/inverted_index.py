@@ -7,7 +7,10 @@ features and by BM25 as its posting-list store.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+_NO_POSTINGS: Mapping[int, int] = MappingProxyType({})
 
 
 class InvertedIndex:
@@ -16,6 +19,8 @@ class InvertedIndex:
     def __init__(self):
         self._postings: dict[str, dict[int, int]] = defaultdict(dict)
         self._doc_lengths: dict[int, int] = {}
+        #: running sum of ``_doc_lengths`` (an exact integer).
+        self._total_length = 0
 
     def add_document(self, doc_id: int, tokens: Sequence[str]) -> None:
         """Index ``tokens`` under ``doc_id`` (re-adding a doc id overwrites it)."""
@@ -25,6 +30,7 @@ class InvertedIndex:
         for token, count in counts.items():
             self._postings[token][doc_id] = count
         self._doc_lengths[doc_id] = len(tokens)
+        self._total_length += len(tokens)
 
     def remove_document(self, doc_id: int) -> None:
         """Remove ``doc_id`` from all postings."""
@@ -34,11 +40,22 @@ class InvertedIndex:
             self._postings[token].pop(doc_id, None)
             if not self._postings[token]:
                 del self._postings[token]
-        del self._doc_lengths[doc_id]
+        self._total_length -= self._doc_lengths.pop(doc_id)
 
     def postings(self, token: str) -> Mapping[int, int]:
-        """Mapping of doc id → term frequency for ``token``."""
+        """Mapping of doc id → term frequency for ``token`` (a copy)."""
         return dict(self._postings.get(token, {}))
+
+    def postings_view(self, token: str) -> Mapping[int, int]:
+        """Read-only live view of :meth:`postings`, for hot loops that must
+        not pay a copy per token; it changes with the index."""
+        postings = self._postings.get(token)
+        return MappingProxyType(postings) if postings is not None else _NO_POSTINGS
+
+    def term_frequency(self, token: str, doc_id: int) -> int:
+        """Occurrences of ``token`` in ``doc_id`` (0 when absent)."""
+        postings = self._postings.get(token)
+        return postings.get(doc_id, 0) if postings is not None else 0
 
     def document_frequency(self, token: str) -> int:
         return len(self._postings.get(token, {}))
@@ -67,7 +84,7 @@ class InvertedIndex:
     def average_document_length(self) -> float:
         if not self._doc_lengths:
             return 0.0
-        return sum(self._doc_lengths.values()) / len(self._doc_lengths)
+        return self._total_length / len(self._doc_lengths)
 
     def vocabulary(self) -> set[str]:
         return set(self._postings.keys())

@@ -4,27 +4,87 @@ GenExpan constrains beam-search decoding so that only candidate entities can
 be generated (Section V-B.1, Figure 6).  The tree maps token prefixes to the
 set of tokens allowed next; a complete root-to-leaf path spells exactly one
 candidate entity.
+
+Every inserted name gets a *row*: its index in :attr:`PrefixTree.names`.
+Nodes cache, on first use, their sorted children and the rows of their
+alphabetically first :data:`FIRST_REACHABLE` reachable names, so a beam
+step reads both without walking from the root or sorting a subtree.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
 
-@dataclass
-class _Node:
-    children: dict[str, "_Node"] = field(default_factory=dict)
+#: how many alphabetically-first reachable names each node caches the rows of.
+FIRST_REACHABLE = 20
+
+#: the row that pads :meth:`PrefixNode.first_rows` to ``FIRST_REACHABLE``.
+PAD_ROW = -1
+
+
+@dataclass(eq=False)
+class PrefixNode:
+    """One trie node; the cached fields are filled lazily and cleared by
+    :meth:`PrefixTree.insert` on every node whose subtree it changes."""
+
+    children: dict[str, "PrefixNode"] = field(default_factory=dict)
     #: entity name terminating at this node (None for internal-only nodes).
     terminal: str | None = None
+    #: row of ``terminal`` in :attr:`PrefixTree.names`.
+    terminal_row: int = PAD_ROW
+    _sorted_children: list[tuple[str, "PrefixNode"]] | None = field(default=None, repr=False)
+    _first: list[tuple[str, int]] | None = field(default=None, repr=False)
+    _first_rows: np.ndarray | None = field(default=None, repr=False)
+
+    def sorted_children(self) -> list[tuple[str, "PrefixNode"]]:
+        """``(token, child)`` pairs in token order."""
+        if self._sorted_children is None:
+            self._sorted_children = sorted(self.children.items())
+        return self._sorted_children
+
+    def first_reachable(self) -> list[tuple[str, int]]:
+        """``(name, row)`` of the alphabetically first ``FIRST_REACHABLE``
+        names reachable from this node, in :meth:`PrefixTree.entities_with_prefix`
+        order (merged from the children's own cached lists)."""
+        if self._first is None:
+            own = [(self.terminal, self.terminal_row)] if self.terminal is not None else []
+            merged = heapq.merge(
+                own,
+                *(child.first_reachable() for child in self.children.values()),
+                key=lambda pair: pair[0],
+            )
+            self._first = list(itertools.islice(merged, FIRST_REACHABLE))
+        return self._first
+
+    def first_rows(self) -> np.ndarray:
+        """Rows of :meth:`first_reachable`, padded with ``PAD_ROW`` to
+        ``FIRST_REACHABLE`` entries."""
+        if self._first_rows is None:
+            rows = np.full(FIRST_REACHABLE, PAD_ROW, dtype=np.intp)
+            first = self.first_reachable()
+            rows[: len(first)] = [row for _, row in first]
+            self._first_rows = rows
+        return self._first_rows
+
+    def _clear_cache(self) -> None:
+        self._sorted_children = None
+        self._first = None
+        self._first_rows = None
 
 
 class PrefixTree:
     """A trie over tokenised entity names."""
 
     def __init__(self):
-        self._root = _Node()
+        self._root = PrefixNode()
         self._size = 0
+        self._names: list[str] = []
+        self._rows: dict[str, int] = {}
 
     # -- construction --------------------------------------------------------
     def insert(self, tokens: Sequence[str], name: str) -> None:
@@ -32,11 +92,18 @@ class PrefixTree:
         if not tokens:
             raise ValueError("cannot insert an empty token sequence")
         node = self._root
+        node._clear_cache()
         for token in tokens:
-            node = node.children.setdefault(token, _Node())
+            node = node.children.setdefault(token, PrefixNode())
+            node._clear_cache()
         if node.terminal is None:
             self._size += 1
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = len(self._names)
+            self._names.append(name)
         node.terminal = name
+        node.terminal_row = row
 
     @classmethod
     def from_entities(
@@ -51,7 +118,16 @@ class PrefixTree:
         return tree
 
     # -- queries --------------------------------------------------------------
-    def _walk(self, prefix: Sequence[str]) -> _Node | None:
+    @property
+    def root(self) -> PrefixNode:
+        return self._root
+
+    @property
+    def names(self) -> list[str]:
+        """Every name ever inserted, indexed by row (read-only)."""
+        return self._names
+
+    def _walk(self, prefix: Sequence[str]) -> PrefixNode | None:
         node = self._root
         for token in prefix:
             node = node.children.get(token)

@@ -783,6 +783,88 @@ class TestWorkerPool:
             WorkerPool([spec, spec])
 
 
+class _FakeProcess:
+    """A live worker process stand-in: SIGTERM exits it with -15."""
+
+    pid = 4242
+
+    def __init__(self):
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self):
+        self.returncode = -15
+
+    def kill(self):
+        self.returncode = -9
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class TestWorkerStartup:
+    """STARTING-state transitions, driven by a fake clock and probe."""
+
+    DEADLINE = 30.0
+
+    @pytest.fixture
+    def harness(self, monkeypatch):
+        import repro.cluster.workers as workers
+
+        now = [100.0]
+        healthy = [False]
+        monkeypatch.setattr(workers, "probe_health", lambda url, timeout: healthy[0])
+        pool = WorkerPool(
+            [WorkerSpec("w", "http://127.0.0.1:9", ("true",))],
+            unhealthy_threshold=3,
+            startup_deadline=self.DEADLINE,
+            clock=lambda: now[0],
+        )
+        worker = pool._workers[0]
+        worker.process = _FakeProcess()
+        worker.spawned_at = now[0]
+        return pool, worker, now, healthy
+
+    def test_failed_probes_while_starting_do_not_count(self, harness):
+        pool, worker, now, healthy = harness
+        for _ in range(10):  # far past unhealthy_threshold, inside the deadline
+            now[0] += 2.5
+            pool._check(worker)
+        assert worker.state == "starting"
+        assert worker.consecutive_failures == 0
+        assert worker.process.returncode is None
+        healthy[0] = True
+        pool._check(worker)
+        assert worker.state == "healthy"
+        assert pool.stats()["restarts_total"] == 0
+
+    def test_healthy_worker_uses_the_liveness_threshold(self, harness):
+        pool, worker, now, healthy = harness
+        healthy[0] = True
+        pool._check(worker)
+        healthy[0] = False
+        for _ in range(2):
+            pool._check(worker)
+        assert worker.state == "healthy"
+        pool._check(worker)
+        assert worker.state == "down"
+        assert worker.exit_codes == [-15]
+
+    def test_startup_deadline_recycles_and_records_the_exit_code(self, harness):
+        pool, worker, now, _ = harness
+        now[0] += self.DEADLINE - 0.1
+        pool._check(worker)
+        assert worker.state == "starting"
+        now[0] += 0.1
+        pool._check(worker)
+        stats = pool.stats()["workers"]["w"]
+        assert stats["state"] == "down"
+        assert stats["restarts"] == 1
+        assert stats["exit_codes"] == [-15]
+
+
 # ---------------------------------------------------------------------------
 # concurrent load parity (acceptance criterion)
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from scalar_oracles import scalar_generate_constrained
+
 from repro.config import CausalLMConfig
 from repro.exceptions import ModelError
 from repro.lm.causal_lm import CausalEntityLM, NGramLanguageModel
 from repro.text.prefix_tree import PrefixTree
 from repro.text.tokenizer import WordTokenizer
+from repro.types import Entity
 
 
 class TestNGramLanguageModel:
@@ -40,6 +43,22 @@ class TestNGramLanguageModel:
         combined = lm.sequence_logprob(["b", "c"], context=["a"])
         stepwise = lm.logprob(["a"], "b") + lm.logprob(["a", "b"], "c")
         assert combined == pytest.approx(stepwise)
+
+    def test_next_logprobs_equal_scalar_logprob(self):
+        lm = NGramLanguageModel(order=3)
+        lm.fit([["the", "phone", "brand"]] * 3 + [["the", "country", "votes"]])
+        lm.fit([["phone", "votes"]])  # a second fit keeps the context totals in step
+        tokens = ["phone", "country", "votes", "brand", "unseen", "</s>"]
+        for context in ([], ["the"], ["the", "phone"], ["x", "y", "z"]):
+            batched = lm.next_logprobs(context, tokens)
+            assert batched.tolist() == [lm.logprob(context, t) for t in tokens]
+
+    def test_context_totals_survive_state_round_trip(self):
+        lm = NGramLanguageModel(order=2)
+        lm.fit([["a", "b", "c"], ["a", "b", "d"]])
+        restored = NGramLanguageModel.from_state(lm.to_state())
+        for token in ("b", "c", "d", "zzz"):
+            assert restored.probability(["b"], token) == lm.probability(["b"], token)
 
     def test_next_token_candidates_ranked(self):
         lm = NGramLanguageModel(order=2)
@@ -167,3 +186,97 @@ class TestCausalEntityLM:
         if shared_prefix:
             a, b = shared_prefix[0]
             assert lm.entity_affinity(a.entity_id, b.entity_id) > 0.0
+
+
+def _assert_matches_oracle(lm, prompt, tree, **kwargs):
+    expected = scalar_generate_constrained(lm, prompt, tree, **kwargs)
+    got = lm.generate_constrained(prompt, tree, **kwargs)
+    assert [name for name, _ in got] == [name for name, _ in expected]
+    for (_, score), (_, reference) in zip(got, expected):
+        assert score == pytest.approx(reference, rel=1e-12, abs=0.0)
+    return got
+
+
+@pytest.fixture(scope="module")
+def jaccard_lm(tiny_dataset):
+    config = CausalLMConfig(further_pretrain=False)
+    return CausalEntityLM(config).fit(tiny_dataset.corpus, tiny_dataset.entities())
+
+
+@pytest.fixture(scope="module")
+def lm_with_unembedded(fitted_lm, tiny_dataset, tmp_path_factory):
+    """``fitted_lm`` restored against the dataset plus two entities the
+    embeddings never saw: one sharing name tokens with a real entity."""
+    directory = tmp_path_factory.mktemp("causal-lm")
+    fitted_lm.save_state(directory)
+    entities = tiny_dataset.entities()
+    first = entities[0].name.split()[0]
+    extra = [
+        Entity(entity_id=10**6, name=f"{first} Unembedded"),
+        Entity(entity_id=10**6 + 1, name="Zzyzx Unembedded"),
+    ]
+    lm = CausalEntityLM.load_state(directory, entities + extra)
+    tree = PrefixTree.from_entities((e.name for e in entities + extra), WordTokenizer())
+    return lm, tree, extra
+
+
+class TestConstrainedBeamParity:
+    """The batched beam against the per-token scalar scorer it replaced."""
+
+    def test_matches_oracle_over_queries(self, fitted_lm, tiny_dataset, prefix_tree):
+        for query in tiny_dataset.queries[:6]:
+            _assert_matches_oracle(
+                fitted_lm, list(query.positive_seed_ids), prefix_tree, beam_width=10
+            )
+
+    def test_matches_oracle_on_jaccard_path(self, jaccard_lm, tiny_dataset, prefix_tree):
+        for query in tiny_dataset.queries[:4]:
+            _assert_matches_oracle(
+                jaccard_lm, list(query.positive_seed_ids), prefix_tree, beam_width=10
+            )
+
+    def test_matches_oracle_with_empty_prompt(self, fitted_lm, jaccard_lm, prefix_tree):
+        assert _assert_matches_oracle(fitted_lm, [], prefix_tree, beam_width=8)
+        assert _assert_matches_oracle(jaccard_lm, [], prefix_tree, beam_width=8)
+
+    def test_matches_oracle_with_exclusions(self, fitted_lm, tiny_dataset, prefix_tree):
+        query = tiny_dataset.queries[1]
+        prompt = list(query.positive_seed_ids)
+        unexcluded = fitted_lm.generate_constrained(prompt, prefix_tree, beam_width=10)
+        excluded = {name for name, _ in unexcluded[:4]}
+        got = _assert_matches_oracle(
+            fitted_lm, prompt, prefix_tree, beam_width=10, exclude_names=excluded
+        )
+        assert not excluded & {name for name, _ in got}
+
+    def test_matches_oracle_with_an_unembedded_entity(self, lm_with_unembedded, tiny_dataset):
+        lm, tree, extra = lm_with_unembedded
+        assert not lm._embeddings.has_entity(extra[0].entity_id)
+        seeds = list(tiny_dataset.queries[0].positive_seed_ids)
+        # the unembedded entity as a candidate, then inside the prompt too
+        _assert_matches_oracle(lm, seeds, tree, beam_width=12)
+        _assert_matches_oracle(lm, seeds[:2] + [extra[0].entity_id], tree, beam_width=12)
+        _assert_matches_oracle(lm, [extra[1].entity_id], tree, beam_width=12)
+
+    def test_prompt_affinities_equal_scalar_prompt_affinity(self, lm_with_unembedded, tiny_dataset):
+        lm, _, extra = lm_with_unembedded
+        prompt = list(tiny_dataset.queries[0].positive_seed_ids)[:2] + [extra[0].entity_id]
+        vector = lm.prompt_affinities(prompt)
+        assert vector[-1] == 0.0  # the padding row
+        for row, entity_id in enumerate(lm._rows.ids):
+            assert vector[row] == pytest.approx(
+                lm.prompt_affinity(entity_id, prompt), rel=1e-12, abs=1e-15
+            )
+
+    def test_no_scalar_affinity_calls_inside_the_beam(self, fitted_lm, tiny_dataset, prefix_tree, monkeypatch):
+        calls = []
+        for name in ("entity_affinity", "prompt_affinity"):
+            original = getattr(CausalEntityLM, name)
+            monkeypatch.setattr(
+                CausalEntityLM, name,
+                lambda self, *a, _o=original, **k: calls.append(1) or _o(self, *a, **k),
+            )
+        fitted_lm.generate_constrained(
+            list(tiny_dataset.queries[0].positive_seed_ids), prefix_tree, beam_width=10
+        )
+        assert calls == []

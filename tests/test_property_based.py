@@ -3,10 +3,12 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import textbook_bm25, textbook_bm25_search
 
 from repro.core.rerank import segmented_rerank
 from repro.eval.metrics import average_precision_at_k, precision_at_k, query_metrics
 from repro.lm.losses import info_nce_loss, label_smoothed_cross_entropy
+from repro.text.bm25 import BM25Index
 from repro.text.prefix_tree import PrefixTree
 from repro.text.tokenizer import WordTokenizer
 from repro.text.vocab import Vocabulary
@@ -109,6 +111,36 @@ class TestTextProperties:
         for path, name in inserted.items():
             assert tree.is_complete(path)
         assert len(tree) == len(inserted)
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=0, max_value=6),
+                st.lists(st.sampled_from("abcdefg"), max_size=8),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        query=st.lists(st.sampled_from("abcdefgh"), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_bm25_equals_textbook_bm25(self, operations, query):
+        """After any interleaving of adds and removes, cached BM25 scores
+        and searches are exactly the from-scratch formula's."""
+        index = BM25Index()
+        documents: dict[int, list[str]] = {}
+        for add, doc_id, doc_tokens in operations:
+            if add:
+                index.add_document(doc_id, doc_tokens)
+                documents[doc_id] = doc_tokens
+            else:
+                index.remove_document(doc_id)
+                documents.pop(doc_id, None)
+            index.search(query, top_k=3)  # fills the idf cache mid-sequence
+        for doc_id in range(7):
+            assert index.score(query, doc_id) == textbook_bm25(documents, query, doc_id)
+        assert index.search(query, top_k=10) == textbook_bm25_search(documents, query, 10)
 
     @given(text=st.text(max_size=200))
     def test_tokenizer_never_raises_and_lowercases(self, text):

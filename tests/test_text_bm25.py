@@ -1,6 +1,7 @@
 """Tests for the BM25 index."""
 
 import pytest
+from scalar_oracles import textbook_bm25, textbook_bm25_search
 
 from repro.text.bm25 import BM25Index
 
@@ -74,3 +75,60 @@ class TestBM25:
         double = index.score(["android"], 2)
         assert double > single
         assert double < 2 * single
+
+
+class TestCachedStatistics:
+    """Cached idf / running length total against the textbook formula."""
+
+    QUERIES = (
+        ["android", "phone"],
+        ["europe", "income", "android", "android"],
+        ["brand", "maker", "zebra"],
+        [],
+    )
+
+    def _assert_exact(self, index, documents):
+        for query in self.QUERIES:
+            for doc_id in list(documents) + [99]:
+                assert index.score(query, doc_id) == textbook_bm25(documents, query, doc_id)
+            assert index.search(query, top_k=10) == textbook_bm25_search(documents, query, 10)
+
+    def test_interleaved_adds_and_removes_stay_exact(self):
+        index = BM25Index()
+        documents: dict[int, list[str]] = {}
+        steps = [
+            ("add", 1, "android phone brand with android system"),
+            ("add", 2, "ios phone brand from america"),
+            ("add", 3, "a country located in europe with high income"),
+            ("remove", 2, None),
+            ("add", 4, "another android handset maker"),
+            ("add", 1, "android maker in europe"),  # re-adding overwrites
+            ("remove", 7, None),  # unknown ids are a no-op
+            ("add", 2, "phone phone phone brand"),
+            ("remove", 3, None),
+        ]
+        for action, doc_id, text in steps:
+            if action == "add":
+                index.add_document(doc_id, text.split())
+                documents[doc_id] = text.split()
+            else:
+                index.remove_document(doc_id)
+                documents.pop(doc_id, None)
+            self._assert_exact(index, documents)  # warms the idf cache each step
+        assert index.num_documents == len(documents)
+
+    def test_idf_cache_is_invalidated_by_mutation(self):
+        index = build_index()
+        before = index.idf("europe")
+        index.add_document(5, ["europe", "europe"])
+        assert index.idf("europe") < before
+        index.remove_document(5)
+        assert index.idf("europe") == before
+
+    def test_postings_stay_a_copy(self):
+        index = build_index()
+        postings = index._index.postings("android")
+        postings[1] = 100
+        assert index._index.postings("android")[1] == 2
+        with pytest.raises(TypeError):
+            index._index.postings_view("android")[1] = 100

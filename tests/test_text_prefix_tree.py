@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.prefix_tree import PrefixTree
+from repro.text.prefix_tree import FIRST_REACHABLE, PAD_ROW, PrefixTree
 from repro.text.tokenizer import WordTokenizer
 
 
@@ -87,3 +87,33 @@ class TestPrefixTree:
         for name in tree.entities_with_prefix([]):
             tokens = name.lower().split()
             assert tree.entity_at(tokens) == name
+
+
+def _walk_prefixes(node, prefix=()):
+    yield prefix, node
+    for token, child in node.sorted_children():
+        yield from _walk_prefixes(child, prefix + (token,))
+
+
+class TestNodeCaches:
+    def test_first_rows_are_the_first_reachable_names(self, tiny_dataset):
+        tree = PrefixTree.from_entities((e.name for e in tiny_dataset.entities()), WordTokenizer())
+        assert len(tree.entities_with_prefix([])) > FIRST_REACHABLE
+        for prefix, node in _walk_prefixes(tree.root):
+            rows = node.first_rows()
+            assert len(rows) == FIRST_REACHABLE
+            named = [tree.names[row] for row in rows if row != PAD_ROW]
+            assert named == tree.entities_with_prefix(list(prefix))[:FIRST_REACHABLE]
+            assert [t for t, _ in node.sorted_children()] == tree.allowed_next(list(prefix))
+
+    def test_insert_after_a_query_refreshes_the_caches(self):
+        tree = build_tree()
+        assert [tree.names[r] for r in tree.root.first_rows() if r != PAD_ROW][:1] == ["Nuvia"]
+        assert [t for t, _ in tree.root.children["vexo"].sorted_children()] == ["mobile", "wireless"]
+        tree.insert(["vexo", "audio"], "A Vexo Audio")
+        assert [tree.names[r] for r in tree.root.first_rows() if r != PAD_ROW][:1] == [
+            "A Vexo Audio"
+        ]
+        assert [t for t, _ in tree.root.children["vexo"].sorted_children()] == [
+            "audio", "mobile", "wireless"
+        ]
