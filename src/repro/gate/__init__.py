@@ -30,6 +30,7 @@ from repro.gate.auth import (
 from repro.gate.limiter import QuotaSpec, RateLimiter, TokenBucket
 from repro.gate.tenants import (
     ANONYMOUS_TENANT,
+    KeySession,
     Tenant,
     TenantDirectory,
     hash_key,
@@ -42,6 +43,7 @@ __all__ = [
     "API_KEY_HEADER",
     "AdmissionController",
     "Gate",
+    "KeySession",
     "QuotaSpec",
     "RateLimiter",
     "Tenant",
