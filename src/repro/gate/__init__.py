@@ -30,7 +30,6 @@ from repro.gate.auth import (
 from repro.gate.limiter import QuotaSpec, RateLimiter, TokenBucket
 from repro.gate.tenants import (
     ANONYMOUS_TENANT,
-    KeySession,
     Tenant,
     TenantDirectory,
     hash_key,
@@ -43,7 +42,6 @@ __all__ = [
     "API_KEY_HEADER",
     "AdmissionController",
     "Gate",
-    "KeySession",
     "QuotaSpec",
     "RateLimiter",
     "Tenant",

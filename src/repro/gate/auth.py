@@ -24,8 +24,8 @@ import threading
 import time
 
 from repro.exceptions import AuthenticationError, RateLimitedError
-from repro.gate.limiter import QuotaSpec, RateLimiter, TokenBucket, charge
-from repro.gate.tenants import ANONYMOUS_TENANT, KeySession, Tenant, TenantDirectory
+from repro.gate.limiter import QuotaSpec, RateLimiter
+from repro.gate.tenants import ANONYMOUS_TENANT, Tenant, TenantDirectory
 
 __all__ = [
     "API_KEY_HEADER",
@@ -49,11 +49,6 @@ OPERATION_EXPAND_BATCH = "expand_batch"
 OPERATION_FIT = "fit"
 OPERATION_READ = "read"
 
-#: Bound on the per-tenant lane cache.  Lanes are keyed by Tenant object
-#: and every keyfile reload builds new objects, so the cache is dropped
-#: (and rebuilt on demand) once reloads have filled it.
-MAX_LANES = 1024
-
 
 def operation_for(verb: str, path: str) -> str:
     """Classify a request into the quota operation it charges."""
@@ -72,25 +67,6 @@ def retry_after_header(seconds: float) -> str:
     return str(max(1, math.ceil(seconds)))
 
 
-class _Lane:
-    """One tenant's buckets, resolved once per :class:`Tenant` object.
-
-    The gate sits on every request, so the per-request work is one lane
-    lookup instead of re-deriving the quota and the bucket keys."""
-
-    __slots__ = ("tenant", "bucket", "method_buckets")
-
-    def __init__(
-        self,
-        tenant: Tenant,
-        bucket: TokenBucket | None,
-        method_buckets: dict[str, TokenBucket],
-    ):
-        self.tenant = tenant  # keeps id(tenant), the lane's key, unique
-        self.bucket = bucket
-        self.method_buckets = method_buckets
-
-
 class Gate:
     """Authentication + quota enforcement for one server process."""
 
@@ -103,111 +79,84 @@ class Gate:
     ):
         self.directory = directory
         self.default_quota = default_quota
-        self._clock = clock
         self._limiter = RateLimiter(clock=clock)
         self._lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._throttled: dict[str, int] = {}
         self._auth_failures = 0
         self._metrics = metrics
-        self._auth_failures_counter = None
         if metrics is not None:
-            # the per-tenant tallies above are exact already; the registry
-            # reads them at render time instead of keeping a second copy
-            # that every admitted request would have to bump.
-            metrics.counter_view(
+            self._requests_counter = metrics.counter(
                 "repro_gate_requests_total",
                 "Requests admitted through the gate, by tenant.",
-                lambda: self._tenant_series(self._requests),
             )
-            metrics.counter_view(
+            self._throttled_counter = metrics.counter(
                 "repro_gate_throttled_total",
                 "Requests refused with 429 by the token buckets, by tenant.",
-                lambda: self._tenant_series(self._throttled),
             )
             self._auth_failures_counter = metrics.counter(
                 "repro_gate_auth_failures_total",
                 "Requests refused with 401 (missing or unknown API key).",
             )
-        # no keyfile: one shared anonymous tenant under the default quota.
-        self._anonymous = Tenant(tenant_id=ANONYMOUS_TENANT, quota=default_quota)
-        self._lanes: dict[int, _Lane] = {}
-
-    def check(
-        self,
-        api_key: str | None,
-        operation: str,
-        session: KeySession | None = None,
-    ) -> str:
-        """Admit or refuse one request; returns the resolved tenant id.
-
-        ``session`` is the caller connection's :class:`KeySession`; with
-        it, repeat requests on one keep-alive connection skip the key
-        hash (see :meth:`TenantDirectory.resolve`)."""
-        directory = self.directory
-        if directory is None:
-            tenant = self._anonymous
         else:
-            tenant = directory.resolve(api_key, session)
-            if tenant is None:
-                raise self._refuse_key(api_key)
-        lane = self._lanes.get(id(tenant)) or self._lane(tenant)
-        tenant_id = tenant.tenant_id
-        bucket = lane.bucket
-        method_bucket = None
-        if lane.method_buckets:
-            method_bucket = lane.method_buckets.get(operation)
-        # One lock for the buckets and the tallies: the gate's limiter is
-        # only its bucket table, so these buckets are charged nowhere else.
-        with self._lock:
-            if method_bucket is not None:
-                wait = charge(bucket, method_bucket, self._clock())
-            elif bucket is not None:
-                wait = bucket.take(self._clock())
-            else:
-                wait = 0.0
-            tally = self._requests if wait == 0.0 else self._throttled
-            tally[tenant_id] = tally.get(tenant_id, 0) + 1
+            self._requests_counter = None
+            self._throttled_counter = None
+            self._auth_failures_counter = None
+        self._requests_series: dict[str, object] = {}
+        self._throttled_series: dict[str, object] = {}
+
+    def check(self, api_key: str | None, operation: str) -> str:
+        """Admit or refuse one request; returns the resolved tenant id."""
+        tenant = self._resolve(api_key)
+        quota = tenant.quota if tenant.quota is not None else self.default_quota
+        method_quotas = tenant.method_quotas
+        wait = self._limiter.check(
+            tenant.tenant_id,
+            quota,
+            operation=operation,
+            method_quota=method_quotas.get(operation) if method_quotas else None,
+        )
         if wait > 0.0:
+            self._count(self._throttled, self._throttled_counter,
+                        self._throttled_series, tenant.tenant_id)
             raise RateLimitedError(
-                f"tenant {tenant_id!r} is over quota for "
+                f"tenant {tenant.tenant_id!r} is over quota for "
                 f"{operation!r}; retry in {wait:.3f}s",
                 retry_after=wait,
             )
-        return tenant_id
+        self._count(self._requests, self._requests_counter,
+                    self._requests_series, tenant.tenant_id)
+        return tenant.tenant_id
 
-    def _lane(self, tenant: Tenant) -> _Lane:
-        quota = tenant.quota if tenant.quota is not None else self.default_quota
-        limiter = self._limiter
-        tenant_id = tenant.tenant_id
-        lane = _Lane(
-            tenant,
-            None if quota is None else limiter.bucket(tenant_id, None, quota),
-            {
-                operation: limiter.bucket(tenant_id, operation, spec)
-                for operation, spec in tenant.method_quotas.items()
-            },
-        )
-        with self._lock:
-            if len(self._lanes) >= MAX_LANES:
-                self._lanes.clear()
-            self._lanes[id(tenant)] = lane
-        return lane
+    def _resolve(self, api_key: str | None) -> Tenant:
+        if self.directory is None:
+            # no keyfile: one shared anonymous tenant under the default quota.
+            return Tenant(tenant_id=ANONYMOUS_TENANT, quota=self.default_quota)
+        tenant = self.directory.resolve(api_key)
+        if tenant is None:
+            with self._lock:
+                self._auth_failures += 1
+            if self._auth_failures_counter is not None:
+                self._auth_failures_counter.inc()
+            if api_key:
+                raise AuthenticationError("unknown API key")
+            raise AuthenticationError(
+                f"missing API key ({API_KEY_HEADER} header required)"
+            )
+        return tenant
 
-    def _refuse_key(self, api_key: str | None) -> AuthenticationError:
+    def _count(self, table, counter, series, tenant_id: str) -> None:
         with self._lock:
-            self._auth_failures += 1
-        if self._auth_failures_counter is not None:
-            self._auth_failures_counter.inc()
-        if api_key:
-            return AuthenticationError("unknown API key")
-        return AuthenticationError(
-            f"missing API key ({API_KEY_HEADER} header required)"
-        )
-
-    def _tenant_series(self, tally: dict[str, int]) -> dict:
-        with self._lock:
-            return {(("tenant", tenant),): float(n) for tenant, n in tally.items()}
+            table[tenant_id] = table.get(tenant_id, 0) + 1
+        if counter is None:
+            return
+        bound = series.get(tenant_id)
+        if bound is None:
+            # one bound handle per tenant; the registry's per-family series
+            # cap bounds cardinality if tenant ids explode.
+            bound = counter.labels(tenant=tenant_id)
+            series[tenant_id] = bound
+        bound.inc()
 
     def stats(self) -> dict:
         with self._lock:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["QuotaSpec", "RateLimiter", "TokenBucket", "charge"]
+__all__ = ["QuotaSpec", "RateLimiter", "TokenBucket"]
 
 #: Safety valve on the lazily-grown bucket table.  64 tenants x a handful
 #: of per-operation overrides fits comfortably; past the cap new keys
@@ -108,38 +108,25 @@ class TokenBucket:
         """Take ``tokens`` if available.  Returns ``0.0`` on success, else
         the seconds until the bucket will hold enough tokens (never 0)."""
         with self._lock:
-            return self.take(self._clock(), tokens)
+            now = self._clock()
+            self._refill_locked(now)
+            if self._level >= tokens:
+                self._level -= tokens
+                return 0.0
+            return max((tokens - self._level) / self.rate, 1e-9)
 
     def refund(self, tokens: float = 1.0) -> None:
         """Return tokens taken by an acquire that was later rolled back."""
         with self._lock:
-            self.give_back(self._clock(), tokens)
+            self._refill_locked(self._clock())
+            self._level = min(self.burst, self._level + tokens)
 
     def level(self) -> float:
         with self._lock:
-            self._refill(self._clock())
+            self._refill_locked(self._clock())
             return self._level
 
-    def take(self, now: float, tokens: float = 1.0) -> float:
-        """:meth:`try_acquire` at ``now`` without taking the bucket's lock,
-        for a caller whose own lock already guards every access to it."""
-        # refill inlined: a gated request runs this on every admission.
-        level = self._level
-        if now > self._stamp:
-            level = min(self.burst, level + (now - self._stamp) * self.rate)
-        self._stamp = now
-        if level >= tokens:
-            self._level = level - tokens
-            return 0.0
-        self._level = level
-        return max((tokens - level) / self.rate, 1e-9)
-
-    def give_back(self, now: float, tokens: float = 1.0) -> None:
-        """:meth:`refund` at ``now``, unlocked like :meth:`take`."""
-        self._refill(now)
-        self._level = min(self.burst, self._level + tokens)
-
-    def _refill(self, now: float) -> None:
+    def _refill_locked(self, now: float) -> None:
         elapsed = now - self._stamp
         if elapsed > 0.0:
             self._level = min(self.burst, self._level + elapsed * self.rate)
@@ -147,9 +134,8 @@ class TokenBucket:
 
 
 class RateLimiter:
-    """Per-tenant and per-(tenant, operation) buckets, created on first
-    use.  One lock guards the bucket table and, in :meth:`check`, the
-    levels of the buckets it charges."""
+    """Per-tenant and per-(tenant, operation) buckets behind one lock-free
+    read path: buckets are created under a lock once, then shared."""
 
     def __init__(self, clock=time.monotonic, max_buckets: int = MAX_BUCKETS):
         self._clock = clock
@@ -169,72 +155,47 @@ class RateLimiter:
 
         Returns ``0.0`` when admitted, else the retry-after seconds of
         the bucket that refused.  Refusal never consumes quota."""
-        with self._lock:
-            tenant_bucket = None
-            if quota is not None:
-                tenant_bucket = self._bucket_locked(tenant_id, None, quota)
-            method_bucket = None
-            if method_quota is not None and operation is not None:
-                method_bucket = self._bucket_locked(tenant_id, operation, method_quota)
-            return charge(tenant_bucket, method_bucket, self._clock())
+        tenant_bucket = None
+        if quota is not None:
+            tenant_bucket = self._bucket(tenant_id, None, quota)
+            wait = tenant_bucket.try_acquire()
+            if wait > 0.0:
+                return wait
+        if method_quota is not None and operation is not None:
+            method_bucket = self._bucket(tenant_id, operation, method_quota)
+            wait = method_bucket.try_acquire()
+            if wait > 0.0:
+                if tenant_bucket is not None:
+                    tenant_bucket.refund()
+                return wait
+        return 0.0
 
-    def bucket(
-        self, tenant_id: str, operation: str | None, quota: QuotaSpec
-    ) -> TokenBucket:
-        """The bucket of ``(tenant_id, operation)`` (``None`` = the tenant's
-        own), created on first use and replaced when its quota changed.
-        Callers may hold on to it; a later quota change swaps in a new
-        bucket without touching the one they hold."""
-        with self._lock:
-            return self._bucket_locked(tenant_id, operation, quota)
-
-    def _bucket_locked(
+    def _bucket(
         self, tenant_id: str, operation: str | None, quota: QuotaSpec
     ) -> TokenBucket:
         key = (tenant_id, operation)
         bucket = self._buckets.get(key)
-        if bucket is not None and (
-            bucket.rate == quota.rate and bucket.burst == quota.burst
-        ):
+        if bucket is not None and bucket.rate == quota.rate and bucket.burst == quota.burst:
             return bucket
-        if bucket is None and len(self._buckets) >= self._max_buckets:
-            # overflow: all surplus keys share one bucket so the table
-            # stays bounded even under a key-guessing flood.  The shared
-            # bucket is never recreated on quota mismatch — that would
-            # refill it on every new surplus key.
-            key = ("", None)
+        with self._lock:
             bucket = self._buckets.get(key)
-            if bucket is not None:
+            if bucket is not None and (
+                bucket.rate == quota.rate and bucket.burst == quota.burst
+            ):
                 return bucket
-        bucket = TokenBucket(quota.rate, quota.burst, clock=self._clock)
-        self._buckets[key] = bucket
-        return bucket
+            if bucket is None and len(self._buckets) >= self._max_buckets:
+                # overflow: all surplus keys share one bucket so the table
+                # stays bounded even under a key-guessing flood.  The shared
+                # bucket is never recreated on quota mismatch — that would
+                # refill it on every new surplus key.
+                key = ("", None)
+                bucket = self._buckets.get(key)
+                if bucket is not None:
+                    return bucket
+            bucket = TokenBucket(quota.rate, quota.burst, clock=self._clock)
+            self._buckets[key] = bucket
+            return bucket
 
     def stats(self) -> dict:
         with self._lock:
             return {"buckets": len(self._buckets)}
-
-
-def charge(
-    tenant_bucket: TokenBucket | None,
-    method_bucket: TokenBucket | None,
-    now: float,
-) -> float:
-    """Take one token at ``now`` from each bucket given, or from none.
-
-    Returns ``0.0`` when admitted, else the retry-after seconds of the
-    bucket that refused.  The tenant bucket goes first; when the
-    operation bucket then refuses, the tenant token is given back, so a
-    refused request consumes no quota.  Unlocked: the caller holds the
-    one lock that guards both buckets."""
-    if tenant_bucket is not None:
-        wait = tenant_bucket.take(now)
-        if wait > 0.0:
-            return wait
-    if method_bucket is not None:
-        wait = method_bucket.take(now)
-        if wait > 0.0:
-            if tenant_bucket is not None:
-                tenant_bucket.give_back(now)
-            return wait
-    return 0.0

@@ -13,21 +13,16 @@ The keyfile is JSON::
     }
 
 Keys never live in memory as plaintext past load time: a ``key`` entry is
-hashed immediately and only the SHA-256 digest is kept.  The one exception
-is a :class:`KeySession`, which holds the key its own connection presented
-until that connection closes, so its next request can skip the hash.
-
-The directory re-stats the file at most once per
-``reload_interval_seconds`` and swaps in a freshly-parsed table when
-(mtime_ns, size) changes; a file that goes bad after a successful load
-keeps serving the last good table and counts a reload error instead of
-taking the front door down.
+hashed immediately and only the SHA-256 digest is kept.  The directory
+re-stats the file at most once per ``reload_interval_seconds`` and swaps
+in a freshly-parsed table when (mtime_ns, size) changes; a file that goes
+bad after a successful load keeps serving the last good table and counts
+a reload error instead of taking the front door down.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import json
 import os
 import threading
@@ -39,7 +34,6 @@ from repro.gate.limiter import QuotaSpec
 
 __all__ = [
     "ANONYMOUS_TENANT",
-    "KeySession",
     "Tenant",
     "TenantDirectory",
     "hash_key",
@@ -59,12 +53,6 @@ _TENANT_ID_CHARS = frozenset(
 def hash_key(api_key: str) -> str:
     """SHA-256 hex digest of an API key — the only form keys are stored in."""
     return hashlib.sha256(api_key.encode("utf-8")).hexdigest()
-
-
-def _digest(api_key: str) -> bytes:
-    """The raw SHA-256 digest the key table is indexed by (hex-encoding
-    it on every request would cost about as much as the hash)."""
-    return hashlib.sha256(api_key.encode("utf-8")).digest()
 
 
 def is_valid_tenant_id(tenant_id) -> bool:
@@ -90,7 +78,7 @@ class Tenant:
         return self.method_quotas.get(operation)
 
 
-def _parse_tenant_entry(entry, index: int) -> tuple[bytes, Tenant]:
+def _parse_tenant_entry(entry, index: int) -> tuple[str, Tenant]:
     if not isinstance(entry, dict):
         raise ConfigurationError(f"tenants[{index}] must be an object, got {entry!r}")
     tenant_id = entry.get("tenant")
@@ -105,17 +93,12 @@ def _parse_tenant_entry(entry, index: int) -> tuple[bytes, Tenant]:
             raise ConfigurationError(
                 f"tenants[{index}].key_sha256 must be a 64-char hex digest"
             )
-        try:
-            digest = bytes.fromhex(digest)
-        except ValueError:
-            raise ConfigurationError(
-                f"tenants[{index}].key_sha256 must be a 64-char hex digest"
-            ) from None
+        digest = digest.lower()
     elif "key" in entry:
         key = entry["key"]
         if not (isinstance(key, str) and key):
             raise ConfigurationError(f"tenants[{index}].key must be a non-empty string")
-        digest = _digest(key)
+        digest = hash_key(key)
     else:
         raise ConfigurationError(f"tenants[{index}] needs a 'key' or 'key_sha256'")
     quota = entry.get("quota")
@@ -132,7 +115,7 @@ def _parse_tenant_entry(entry, index: int) -> tuple[bytes, Tenant]:
     return digest, tenant
 
 
-def _parse_keyfile(text: str) -> tuple[dict[bytes, Tenant], Tenant | None]:
+def _parse_keyfile(text: str) -> tuple[dict[str, Tenant], Tenant | None]:
     try:
         payload = json.loads(text)
     except ValueError as exc:
@@ -147,7 +130,7 @@ def _parse_keyfile(text: str) -> tuple[dict[bytes, Tenant], Tenant | None]:
     entries = payload.get("tenants", [])
     if not isinstance(entries, list):
         raise ConfigurationError("keyfile 'tenants' must be a list")
-    table: dict[bytes, Tenant] = {}
+    table: dict[str, Tenant] = {}
     for index, entry in enumerate(entries):
         digest, tenant = _parse_tenant_entry(entry, index)
         if digest in table:
@@ -179,24 +162,6 @@ def _parse_keyfile(text: str) -> tuple[dict[bytes, Tenant], Tenant | None]:
     return table, anonymous_tenant
 
 
-class KeySession:
-    """The last key one keep-alive connection authenticated with.
-
-    A client sends the same key on every request of a connection, so the
-    connection keeps the key bytes and the tenant they resolved to, and a
-    repeat costs a constant-time compare instead of a SHA-256.  The entry
-    is valid only against the key table it was resolved in: a keyfile
-    reload that revokes the key takes effect on the next request.  Owned
-    by one connection's handler thread; never shared."""
-
-    __slots__ = ("key", "table", "tenant")
-
-    def __init__(self):
-        self.key: bytes | None = None
-        self.table: dict | None = None
-        self.tenant: Tenant | None = None
-
-
 class TenantDirectory:
     """API-key -> :class:`Tenant` resolution backed by a hot-reloaded keyfile."""
 
@@ -216,7 +181,7 @@ class TenantDirectory:
         self._signature = self._file_signature()
         self._checked_at = clock()
 
-    def _load(self) -> tuple[dict[bytes, Tenant], Tenant | None]:
+    def _load(self) -> tuple[dict[str, Tenant], Tenant | None]:
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -233,6 +198,11 @@ class TenantDirectory:
 
     def _maybe_reload(self) -> None:
         now = self._clock()
+        # Unlocked pre-check: within the reload interval (the common case on
+        # the per-request hot path) resolve() costs one clock read and one
+        # compare.  A stale read just delays one reload by an interval.
+        if now - self._checked_at < self.reload_interval_seconds:
+            return
         with self._lock:
             if now - self._checked_at < self.reload_interval_seconds:
                 return
@@ -253,31 +223,13 @@ class TenantDirectory:
             self._signature = signature
             self._reloads += 1
 
-    def resolve(
-        self, api_key: str | None, session: KeySession | None = None
-    ) -> Tenant | None:
+    def resolve(self, api_key: str | None) -> Tenant | None:
         """Look up a key (``None`` = no key presented).  Returns the tenant,
-        the anonymous tenant when allowed, or ``None`` for a refusal.
-
-        With a ``session``, a key equal to the one that session last
-        resolved in the current table is answered from it."""
-        # Unlocked pre-check: within the reload interval (the common case on
-        # the per-request hot path) the reload costs one clock read and one
-        # compare.  A stale read just delays one reload by an interval.
-        if self._clock() - self._checked_at >= self.reload_interval_seconds:
-            self._maybe_reload()
-        if not api_key:
+        the anonymous tenant when allowed, or ``None`` for a refusal."""
+        self._maybe_reload()
+        if api_key is None or api_key == "":
             return self._anonymous
-        key = api_key.encode("utf-8")
-        table = self._table
-        if session is None:
-            return table.get(hashlib.sha256(key).digest())
-        if session.table is table and hmac.compare_digest(key, session.key):
-            return session.tenant
-        tenant = table.get(hashlib.sha256(key).digest())
-        if tenant is not None:
-            session.key, session.table, session.tenant = key, table, tenant
-        return tenant
+        return self._table.get(hash_key(api_key))
 
     @property
     def allows_anonymous(self) -> bool:

@@ -595,9 +595,10 @@ class CausalEntityLM:
         the best prompt affinity among the first ``FIRST_REACHABLE``
         (alphabetical) names reachable through it.  Nothing of that is
         recomputed per token: the prompt affinity of every entity comes
-        from one :meth:`prompt_affinities` call per search, each trie node
-        caches its sorted children and first reachable name rows, the
-        name -> row maps are built at bind time, and each beam step scores
+        from one :meth:`prompt_affinities` call per search, the tree holds
+        every node's first reachable name rows in one matrix and each node
+        caches its sorted children, the name -> row maps are built at bind
+        time, and each beam step scores
         the children of all live beams with one gather-and-max over the
         padded row matrix and one n-gram context lookup per beam.
         """
@@ -632,7 +633,7 @@ class CausalEntityLM:
                     )
             if not children:
                 break
-            first_rows = np.stack([child.first_rows() for *_, child in children])
+            first_rows = prefix_tree.first_rows([child for *_, child in children])
             best = affinities[tree_rows[first_rows]].max(axis=1)
             token_scores = w * np.log(np.maximum(best, 1e-6)) + (1.0 - w) * np.concatenate(
                 lm_scores

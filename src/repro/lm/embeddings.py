@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import svds
 
-from repro.exceptions import ModelError
+from repro.exceptions import ArtifactCorruptError, ModelError
 from repro.kb.corpus import Corpus
 from repro.text.tokenizer import WordTokenizer
 from repro.text.vocab import SPECIAL_TOKENS, Vocabulary
@@ -93,7 +93,7 @@ class CooccurrenceEmbeddings:
         self.token_vectors: np.ndarray | None = None
         self._entity_vectors: dict[int, np.ndarray] = {}
         #: the stacked entity vectors ``_entity_vectors`` holds row views of
-        #: (ids, matrix); None until fitted/loaded or for a ragged map.
+        #: (ids, matrix); None until fitted or loaded.
         self._entity_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- fitting ----------------------------------------------------------------
@@ -160,7 +160,9 @@ class CooccurrenceEmbeddings:
                 entity_matrix, self.entity_dim, self.seed + 1
             )
             entity_vectors = l2_normalize(entity_vectors, axis=1)
-            self._set_entity_rows(np.asarray(entity_ids, dtype=np.int64), entity_vectors)
+        else:
+            entity_vectors = np.zeros((0, self.entity_dim))
+        self._set_entity_rows(np.asarray(entity_ids, dtype=np.int64), entity_vectors)
         if progress is not None:
             progress.step(1.0)
         return self
@@ -190,12 +192,7 @@ class CooccurrenceEmbeddings:
         vectors are views of (the memory map after :meth:`load`), so no
         copy is made; callers must not mutate it."""
         if self._entity_rows is None:
-            ids = np.asarray(list(self._entity_vectors), dtype=np.int64)
-            if len(ids):
-                matrix = np.stack([self._entity_vectors[int(i)] for i in ids])
-            else:
-                matrix = np.zeros((0, self.entity_dim))
-            self._entity_rows = (ids, matrix)
+            raise ModelError("embeddings are not fitted")
         return self._entity_rows
 
     def _set_entity_rows(self, ids: np.ndarray, matrix: np.ndarray) -> None:
@@ -245,7 +242,6 @@ class CooccurrenceEmbeddings:
         """Reconstruct embeddings written by :meth:`save` without refitting."""
         from repro.store.serialization import (
             load_array,
-            load_vector_map,
             load_vector_rows,
             read_json_state,
         )
@@ -265,8 +261,12 @@ class CooccurrenceEmbeddings:
         )
         instance.token_vectors = load_array(directory / "token_vectors.npy", mmap=mmap)
         rows = load_vector_rows(directory, "entity", mmap=mmap)
-        if rows is not None:
-            instance._set_entity_rows(*rows)
-        else:
-            instance._entity_vectors = load_vector_map(directory, "entity", mmap=mmap)
+        if rows is None:
+            # save() always writes the uniform layout: entity vectors share
+            # one dimension, so a ragged or missing map is not ours.
+            raise ArtifactCorruptError(f"entity vectors under {directory} are not one matrix")
+        ids, matrix = rows
+        if not len(ids):
+            matrix = np.zeros((0, instance.entity_dim))
+        instance._set_entity_rows(ids, matrix)
         return instance

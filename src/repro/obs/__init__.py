@@ -26,7 +26,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     PROMETHEUS_CONTENT_TYPE,
     Counter,
-    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -77,7 +76,6 @@ __all__ = [
     "TRACE_ID_HEADER",
     "TRACE_SPANS_HEADER",
     "Counter",
-    "CounterView",
     "Gauge",
     "Histogram",
     "JsonHttpExporter",

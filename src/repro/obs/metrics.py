@@ -7,8 +7,6 @@ dict.  :class:`MetricsRegistry` replaces the five hand-rolled counter sets
 with named, thread-safe instruments:
 
 * :class:`Counter` — monotonically increasing totals (requests, hits, ...);
-* :class:`CounterView` — a counter read, at render time, from totals a
-  component already tallies under its own lock;
 * :class:`Gauge` — point-in-time values (resident substrates, cache size);
 * :class:`Histogram` — fixed-bucket latency distributions from which
   p50/p90/p99 are derived without storing individual samples.
@@ -230,32 +228,6 @@ class Counter(_Instrument):
                 series[key] = amount
             else:
                 self.dropped_series += 1
-
-
-class CounterView(_Instrument):
-    """A counter family whose totals a component already keeps itself.
-
-    For a hot path that tallies exact per-label totals under its own lock:
-    instead of bumping a second, registry-locked copy on every event, the
-    registry reads the component's tallies when it renders.  ``read``
-    returns ``{label_key: value}`` with label keys shaped like
-    ``(("tenant", "acme"),)``, must be safe to call from any thread, and
-    bounds its own cardinality."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str, read):
-        super().__init__(name, help_text)
-        self._read = read
-
-    def value(self, **labels: str) -> float:
-        return self.series().get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        return sum(self.series().values())
-
-    def series(self) -> dict[tuple[tuple[str, str], ...], float]:
-        return dict(self._read())
 
 
 class Gauge(_Instrument):
@@ -617,24 +589,6 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} is already registered as a {family.kind}"
                 )
-            return family
-
-    def counter_view(self, name: str, help_text: str, read) -> CounterView | None:
-        """Register a :class:`CounterView` over ``read``; ``None`` when the
-        registry is disabled.  Registering the name again re-points it at
-        the newer ``read`` (its component replaced the old one)."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                _check_name(name)
-            elif not isinstance(family, CounterView):
-                raise ValueError(
-                    f"metric {name!r} is already registered as a {family.kind}"
-                )
-            family = CounterView(name, help_text, read)
-            self._families[name] = family
             return family
 
     def timed(self, name: str, help_text: str = "", **labels: str) -> _Timer:

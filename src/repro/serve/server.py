@@ -40,7 +40,6 @@ from repro.exceptions import ReproError
 from repro.gate import (
     API_KEY_HEADER,
     TENANT_HEADER,
-    KeySession,
     is_valid_tenant_id,
     operation_for,
     retry_after_header,
@@ -82,9 +81,6 @@ class _Handler(BaseHTTPRequestHandler):
     # body); with Nagle on, the body segment can sit in the server's TCP
     # stack ~40ms waiting for a delayed ACK from a keep-alive client.
     disable_nagle_algorithm = True
-    #: the key this connection last authenticated with (one handler
-    #: instance serves one connection), made on its first gated request.
-    _key_session: KeySession | None = None
 
     @property
     def service(self) -> ExpansionService:
@@ -143,12 +139,8 @@ class _Handler(BaseHTTPRequestHandler):
         tenant: str | None = None
         if gate is not None and not (verb == "GET" and target == "/v1/healthz"):
             api_key = (self.headers.get(API_KEY_HEADER) or "").strip() or None
-            if self._key_session is None:
-                self._key_session = KeySession()
             try:
-                tenant = gate.check(
-                    api_key, operation_for(verb, target), self._key_session
-                )
+                tenant = gate.check(api_key, operation_for(verb, target))
             except ReproError as exc:
                 status, error = error_payload(exc)
                 gate_error = apiv1.ApiResult(status=status, error=error)

@@ -6,9 +6,11 @@ set of tokens allowed next; a complete root-to-leaf path spells exactly one
 candidate entity.
 
 Every inserted name gets a *row*: its index in :attr:`PrefixTree.names`.
-Nodes cache, on first use, their sorted children and the rows of their
-alphabetically first :data:`FIRST_REACHABLE` reachable names, so a beam
-step reads both without walking from the root or sorting a subtree.
+Every node gets an *index* in creation order.  :meth:`PrefixTree.first_rows`
+reads, for any nodes, the rows of their alphabetically first
+:data:`FIRST_REACHABLE` reachable names out of one ``(nodes, FIRST_REACHABLE)``
+matrix that a single bottom-up pass fills, so a beam step neither walks from
+the root nor sorts a subtree.  Nodes cache their sorted children.
 """
 
 from __future__ import annotations
@@ -20,26 +22,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: how many alphabetically-first reachable names each node caches the rows of.
+#: how many alphabetically-first reachable names :meth:`PrefixTree.first_rows` holds.
 FIRST_REACHABLE = 20
 
-#: the row that pads :meth:`PrefixNode.first_rows` to ``FIRST_REACHABLE``.
+#: the row that pads :meth:`PrefixTree.first_rows` to ``FIRST_REACHABLE``.
 PAD_ROW = -1
 
 
 @dataclass(eq=False)
 class PrefixNode:
-    """One trie node; the cached fields are filled lazily and cleared by
-    :meth:`PrefixTree.insert` on every node whose subtree it changes."""
+    """One trie node; ``_sorted_children`` is filled lazily and cleared by
+    :meth:`PrefixTree.insert` when the node gains a child."""
 
+    #: position of this node in creation order (a child's exceeds its parent's).
+    index: int = 0
     children: dict[str, "PrefixNode"] = field(default_factory=dict)
     #: entity name terminating at this node (None for internal-only nodes).
     terminal: str | None = None
     #: row of ``terminal`` in :attr:`PrefixTree.names`.
     terminal_row: int = PAD_ROW
     _sorted_children: list[tuple[str, "PrefixNode"]] | None = field(default=None, repr=False)
-    _first: list[tuple[str, int]] | None = field(default=None, repr=False)
-    _first_rows: np.ndarray | None = field(default=None, repr=False)
 
     def sorted_children(self) -> list[tuple[str, "PrefixNode"]]:
         """``(token, child)`` pairs in token order."""
@@ -47,44 +49,18 @@ class PrefixNode:
             self._sorted_children = sorted(self.children.items())
         return self._sorted_children
 
-    def first_reachable(self) -> list[tuple[str, int]]:
-        """``(name, row)`` of the alphabetically first ``FIRST_REACHABLE``
-        names reachable from this node, in :meth:`PrefixTree.entities_with_prefix`
-        order (merged from the children's own cached lists)."""
-        if self._first is None:
-            own = [(self.terminal, self.terminal_row)] if self.terminal is not None else []
-            merged = heapq.merge(
-                own,
-                *(child.first_reachable() for child in self.children.values()),
-                key=lambda pair: pair[0],
-            )
-            self._first = list(itertools.islice(merged, FIRST_REACHABLE))
-        return self._first
-
-    def first_rows(self) -> np.ndarray:
-        """Rows of :meth:`first_reachable`, padded with ``PAD_ROW`` to
-        ``FIRST_REACHABLE`` entries."""
-        if self._first_rows is None:
-            rows = np.full(FIRST_REACHABLE, PAD_ROW, dtype=np.intp)
-            first = self.first_reachable()
-            rows[: len(first)] = [row for _, row in first]
-            self._first_rows = rows
-        return self._first_rows
-
-    def _clear_cache(self) -> None:
-        self._sorted_children = None
-        self._first = None
-        self._first_rows = None
-
 
 class PrefixTree:
     """A trie over tokenised entity names."""
 
     def __init__(self):
         self._root = PrefixNode()
+        self._nodes: list[PrefixNode] = [self._root]
         self._size = 0
         self._names: list[str] = []
         self._rows: dict[str, int] = {}
+        #: row ``i`` holds the first reachable rows of node ``i``; None when stale.
+        self._first_rows: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
     def insert(self, tokens: Sequence[str], name: str) -> None:
@@ -92,10 +68,13 @@ class PrefixTree:
         if not tokens:
             raise ValueError("cannot insert an empty token sequence")
         node = self._root
-        node._clear_cache()
         for token in tokens:
-            node = node.children.setdefault(token, PrefixNode())
-            node._clear_cache()
+            child = node.children.get(token)
+            if child is None:
+                child = node.children[token] = PrefixNode(index=len(self._nodes))
+                self._nodes.append(child)
+                node._sorted_children = None
+            node = child
         if node.terminal is None:
             self._size += 1
         row = self._rows.get(name)
@@ -104,6 +83,7 @@ class PrefixTree:
             self._names.append(name)
         node.terminal = name
         node.terminal_row = row
+        self._first_rows = None
 
     @classmethod
     def from_entities(
@@ -126,6 +106,34 @@ class PrefixTree:
     def names(self) -> list[str]:
         """Every name ever inserted, indexed by row (read-only)."""
         return self._names
+
+    def first_rows(self, nodes: Sequence[PrefixNode]) -> np.ndarray:
+        """``(len(nodes), FIRST_REACHABLE)`` rows of the alphabetically first
+        names reachable from each node, in :meth:`entities_with_prefix`
+        order, padded with ``PAD_ROW``."""
+        if self._first_rows is None:
+            self._first_rows = self._collect_first_rows()
+        return self._first_rows[[node.index for node in nodes]]
+
+    def _collect_first_rows(self) -> np.ndarray:
+        # Children are created after their parents, so walking the nodes in
+        # reverse creation order visits every child before its parent.
+        names = self._names
+        matrix = np.full((len(self._nodes), FIRST_REACHABLE), PAD_ROW, dtype=np.int32)
+        firsts: list[list[int] | None] = [None] * len(self._nodes)
+        for node in reversed(self._nodes):
+            own = [node.terminal_row] if node.terminal is not None else []
+            merged = heapq.merge(
+                own,
+                *(firsts[child.index] for child in node.children.values()),
+                key=names.__getitem__,
+            )
+            first = list(itertools.islice(merged, FIRST_REACHABLE))
+            for child in node.children.values():
+                firsts[child.index] = None
+            firsts[node.index] = first
+            matrix[node.index, : len(first)] = first
+        return matrix
 
     def _walk(self, prefix: Sequence[str]) -> PrefixNode | None:
         node = self._root

@@ -37,6 +37,24 @@ class TestCooccurrenceEmbeddings:
             embeddings.token_vector("x")
         with pytest.raises(ModelError):
             embeddings.entity_vector(0)
+        with pytest.raises(ModelError):
+            embeddings.entity_matrix()
+
+    def test_entity_matrix_is_the_array_behind_the_vectors(self, resources, tmp_path):
+        embeddings = resources.cooccurrence_embeddings()
+        ids, matrix = embeddings.entity_matrix()
+        assert all(embeddings.entity_vector(int(i)).base is matrix for i in ids)
+        embeddings.save(tmp_path)
+        loaded_ids, loaded = CooccurrenceEmbeddings.load(tmp_path).entity_matrix()
+        assert np.array_equal(loaded_ids, ids) and np.array_equal(loaded, matrix)
+
+    def test_no_entities_give_an_empty_matrix(self, tiny_dataset, tmp_path):
+        embeddings = CooccurrenceEmbeddings(dim=4).fit(tiny_dataset.corpus, [])
+        ids, matrix = embeddings.entity_matrix()
+        assert ids.shape == (0,) and matrix.shape == (0, embeddings.entity_dim)
+        embeddings.save(tmp_path)
+        _, loaded = CooccurrenceEmbeddings.load(tmp_path).entity_matrix()
+        assert loaded.shape == (0, embeddings.entity_dim)
 
     def test_entity_dim_defaults_to_three_times_token_dim(self):
         assert CooccurrenceEmbeddings(dim=32).entity_dim == 96

@@ -139,38 +139,6 @@ class TestCountersAndGauges:
         assert histogram.count() == 0
         assert registry.render_prometheus() == "\n"
 
-    def test_counter_view_reads_its_source_at_render_time(self):
-        registry = MetricsRegistry(const_labels={"dataset": "fp"})
-        tallies = {"acme": 2}
-        view = registry.counter_view(
-            "repro_t_view_total",
-            "Viewed.",
-            lambda: {(("tenant", t),): float(n) for t, n in tallies.items()},
-        )
-        tallies["beta"] = 1  # no registry call: the next render sees it
-        assert view.value(tenant="acme") == 2
-        assert view.total() == 3
-        assert registry.render_prometheus() == (
-            "# HELP repro_t_view_total Viewed.\n"
-            "# TYPE repro_t_view_total counter\n"
-            'repro_t_view_total{dataset="fp",tenant="acme"} 2\n'
-            'repro_t_view_total{dataset="fp",tenant="beta"} 1\n'
-        )
-        assert registry.snapshot()["repro_t_view_total"] == {
-            '{tenant="acme"}': 2.0,
-            '{tenant="beta"}': 1.0,
-        }
-        # registering the name again re-points it at the newer source.
-        registry.counter_view("repro_t_view_total", "Viewed.", lambda: {})
-        assert registry.families()[0].total() == 0
-
-    def test_counter_view_conflicts_and_disabled_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_t_taken_total")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.counter_view("repro_t_taken_total", "", dict)
-        assert MetricsRegistry(enabled=False).counter_view("repro_t_x", "", dict) is None
-
 
 # ---------------------------------------------------------------------------
 # histograms

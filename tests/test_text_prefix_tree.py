@@ -100,7 +100,7 @@ class TestNodeCaches:
         tree = PrefixTree.from_entities((e.name for e in tiny_dataset.entities()), WordTokenizer())
         assert len(tree.entities_with_prefix([])) > FIRST_REACHABLE
         for prefix, node in _walk_prefixes(tree.root):
-            rows = node.first_rows()
+            (rows,) = tree.first_rows([node])
             assert len(rows) == FIRST_REACHABLE
             named = [tree.names[row] for row in rows if row != PAD_ROW]
             assert named == tree.entities_with_prefix(list(prefix))[:FIRST_REACHABLE]
@@ -108,10 +108,12 @@ class TestNodeCaches:
 
     def test_insert_after_a_query_refreshes_the_caches(self):
         tree = build_tree()
-        assert [tree.names[r] for r in tree.root.first_rows() if r != PAD_ROW][:1] == ["Nuvia"]
+        (root_rows,) = tree.first_rows([tree.root])
+        assert [tree.names[r] for r in root_rows if r != PAD_ROW][:1] == ["Nuvia"]
         assert [t for t, _ in tree.root.children["vexo"].sorted_children()] == ["mobile", "wireless"]
         tree.insert(["vexo", "audio"], "A Vexo Audio")
-        assert [tree.names[r] for r in tree.root.first_rows() if r != PAD_ROW][:1] == [
+        (root_rows,) = tree.first_rows([tree.root])
+        assert [tree.names[r] for r in root_rows if r != PAD_ROW][:1] == [
             "A Vexo Audio"
         ]
         assert [t for t, _ in tree.root.children["vexo"].sorted_children()] == [
